@@ -4,7 +4,9 @@ One leg, runnable standalone and through ``tools/bench_record.py``
 (schema 6 persists it to ``BENCH_walk.json``): the same sharded fleet
 campaign executed three ways —
 
-- **bare** — the unsupervised shard pool (the pre-runtime baseline);
+- **bare** — the same shard tasks run back to back and merged, with
+  no supervisor at all (the pre-runtime baseline; the library no
+  longer has an unsupervised path, so the bench builds it here);
 - **supervised** — the :class:`repro.runtime.ShardSupervisor` wrapping
   the identical shards, no faults injected (its overhead is the
   recorded trend and the ``<= 5 %`` CI gate, measured as the best
@@ -28,7 +30,8 @@ import pytest
 from benchmarks.conftest import BENCH_SEED
 from repro.runtime import BackoffPolicy, ChaosPlan, RuntimeOptions
 from repro.topology.internet import InternetConfig
-from repro.vantage import FleetConfig, run_fleet_sharded
+from repro.vantage import FleetConfig, FleetResult, run_fleet_sharded
+from repro.vantage.sharding import FleetShardTask, plan_shards, run_shard
 
 RUNTIME_VANTAGES = 4
 RUNTIME_TARGETS = 12
@@ -78,9 +81,13 @@ def run_runtime_leg(seed=BENCH_SEED, rounds=2):
     internet = runtime_internet(seed)
     fleet = FleetConfig(rounds=rounds, workers=2, seed=seed)
 
+    tasks = [FleetShardTask(internet=internet, fleet=fleet,
+                            vantage_ids=vantage_ids,
+                            max_destinations=RUNTIME_TARGETS)
+             for vantage_ids in plan_shards(internet.n_vantages, 2)]
+
     def bare():
-        return run_fleet_sharded(internet, fleet, shards=2,
-                                 max_destinations=RUNTIME_TARGETS)
+        return FleetResult.merge(run_shard(task) for task in tasks)
 
     def supervised():
         return run_fleet_sharded(

@@ -8,6 +8,9 @@ purity contract promises.
 
 - :mod:`repro.runtime.supervisor` — :class:`ShardSupervisor`: retries
   under backoff, per-attempt deadlines, reassignment, exclusion.
+- :mod:`repro.runtime.shards` — the one shard executor both sharded
+  entry points run through: replica set-up, specs, validation,
+  reassignment splitting, journal identity, :func:`run_supervised`.
 - :mod:`repro.runtime.backoff` — seeded decorrelated-jitter schedules.
 - :mod:`repro.runtime.journal` — crash-safe checkpoint/resume.
 - :mod:`repro.runtime.degradation` — the partial-coverage report.
@@ -32,6 +35,14 @@ from repro.runtime.degradation import (
     merge_reports,
 )
 from repro.runtime.journal import JournalError, RunJournal, run_identity
+from repro.runtime.shards import (
+    build_replica,
+    run_supervised,
+    shard_run_identity,
+    shard_specs,
+    split_spec,
+    validate_shard,
+)
 from repro.runtime.supervisor import (
     RuntimeOptions,
     ShardSpec,
@@ -57,6 +68,12 @@ __all__ = [
     "ShardSpec",
     "ShardSupervisor",
     "SupervisedRun",
+    "build_replica",
     "merge_reports",
     "run_identity",
+    "run_supervised",
+    "shard_run_identity",
+    "shard_specs",
+    "split_spec",
+    "validate_shard",
 ]

@@ -17,24 +17,21 @@ Execution mirrors :mod:`repro.vantage.sharding`:
 :class:`MonitorShardTask` is the picklable work unit (each shard
 rebuilds a seeded topology replica, runs only its vantages, streams
 its routes through the onset detector), :func:`run_monitor` is the
-single-process reference, :func:`run_monitor_sharded` the partitioned
-one, and both finalize through
+single-process reference, and :func:`run_monitor_sharded` the
+partitioned one.  Sharded runs go through the same supervised
+executor as the fleet's (:func:`repro.runtime.run_supervised`), and
+both modes finalize through
 :meth:`repro.service.result.MonitorResult.merge` — literally the same
 code path, which is what makes the byte-identity contract testable.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from repro.analysis.fault_sensitivity import ground_truth_from_topology
-from repro.engine.scheduler import ProbeScheduler, TraceSpec
-from repro.measurement.destinations import (
-    select_pingable_destinations,
-    split_among_workers,
-)
+from repro.runtime.shards import build_replica, run_supervised
 from repro.service.config import MonitorConfig
 from repro.service.detect import (
     OnsetDetector,
@@ -43,70 +40,37 @@ from repro.service.detect import (
 )
 from repro.service.result import MonitorResult
 from repro.service.schedule import TargetPlan, build_schedule
-from repro.topology.internet import InternetConfig, generate_internet
-from repro.vantage.campaign import FleetCampaign, FleetResult
+from repro.topology.internet import InternetConfig
+from repro.vantage.campaign import FleetCampaign, FleetConfig, FleetResult
+from repro.vantage.sharding import plan_shards
 
 
 class _MonitorCampaign(FleetCampaign):
     """A fleet campaign driven by per-target calendars.
 
     Reuses all the fleet plumbing — per-vantage sockets/tools/policies,
-    deterministic trace ordinals, result assembly — and replaces only
-    lane construction: instead of ``rounds`` uniform passes, each
-    worker's lane is its share's schedule flattened to (instant,
-    position) order with ``not_before`` pacing.
+    deterministic trace ordinals, lane construction, result assembly —
+    and replaces only the lane entries: instead of ``rounds`` uniform
+    passes, each worker's lane is its share's schedule flattened to
+    (instant, position) order with ``not_before`` pacing.
     """
 
     def __init__(self, *args, plans: Sequence[TargetPlan], **kwargs):
         super().__init__(*args, **kwargs)
         self._plans = {plan.destination: plan for plan in plans}
 
-    def run(self) -> FleetResult:
-        """Run every owned vantage's calendar; per-vantage results."""
-        cfg = self.config
-        scheduler = ProbeScheduler(
-            self.network,
-            self._fleet.sources[0],
-            window=cfg.window,
-            socket=self._fleet.sockets[0],
-        )
-        for slot, v in enumerate(self.vantage_ids):
-            socket = self._fleet.sockets[slot]
-            shares = split_among_workers(self._assigned[v], cfg.workers)
-            self._offsets_for(v, shares)
-            for worker, share in enumerate(shares):
-                if not share:
-                    continue
-                # The worker's calendar: every scheduled probe of every
-                # owned target, ordered by (instant, position) — ties
-                # resolve by share position, identically in every mode.
-                entries = sorted(
-                    (plan_time, position, round_index, destination)
-                    for position, destination in enumerate(share)
-                    for round_index, plan_time
-                    in enumerate(self._plans[destination].times)
-                )
-                specs: list = []
-                for plan_time, position, round_index, destination in entries:
-                    paris_builder, classic_builder = self._builders_for(
-                        v, round_index, worker, position, destination)
-                    specs.append(TraceSpec(
-                        self._paris[v], destination, paris_builder,
-                        meta=(v, round_index), not_before=plan_time))
-                    specs.append(TraceSpec(
-                        self._classic[v], destination, classic_builder,
-                        meta=(v, round_index), not_before=plan_time))
-                scheduler.add_lane(
-                    specs,
-                    inter_trace_delay=cfg.inter_trace_delay,
-                    socket=socket,
-                    timeout_policy=self._policies[v],
-                    horizon_hints=self._hints[v],
-                )
-        outcomes = scheduler.run()
-        result = self._assemble(outcomes)
-        self._attach_observability(result)
-        return result
+    def _lane_entries(self, share):
+        # The worker's calendar: every scheduled probe of every owned
+        # target, ordered by (instant, position) — ties resolve by
+        # share position, identically in every mode.
+        entries = [
+            (round_index, position, destination, plan_time)
+            for position, destination in enumerate(share)
+            for round_index, plan_time
+            in enumerate(self._plans[destination].times)
+        ]
+        entries.sort(key=lambda entry: (entry[3], entry[1], entry[0]))
+        return entries
 
 
 @dataclass
@@ -129,33 +93,23 @@ class MonitorShardTask:
     metrics: bool = False
     #: Ring capacity for a probe tracer; 0 disables tracing.
     trace_capacity: int = 0
+    #: Names the run in its journal identity.
+    kind: ClassVar[str] = "monitor"
+
+    @property
+    def fleet_config(self) -> FleetConfig:
+        """The fleet config the shard's campaign runs under."""
+        return self.monitor.fleet
 
 
 def run_monitor_shard(task: MonitorShardTask) -> MonitorResult:
-    """Run one shard to completion (the process-pool work function).
+    """Run one shard to completion (the supervised work function).
 
     Returns a *partial* :class:`MonitorResult` (``alerts is None``):
     windows and onsets for the shard's vantages only.  The alert
     pipeline runs post-merge on the coordinator.
     """
-    topology = generate_internet(task.internet)
-    seed = (task.destination_seed if task.destination_seed is not None
-            else task.monitor.fleet.seed)
-    destinations = select_pingable_destinations(
-        topology.network, topology.source,
-        topology.destination_addresses,
-        count=task.max_destinations, seed=seed)
-    # Observability installs after the pingable pre-screen, exactly as
-    # in :func:`repro.vantage.sharding.materialize_shard` and for the
-    # same reason: pre-screen probes replay in every replica.
-    if task.metrics:
-        from repro.obs.registry import MetricsRegistry
-
-        topology.network.metrics = MetricsRegistry()
-    if task.trace_capacity > 0:
-        from repro.obs.tracing import ProbeTracer
-
-        topology.network.tracer = ProbeTracer(capacity=task.trace_capacity)
+    topology, destinations = build_replica(task)
     plans = build_schedule(destinations, task.monitor)
     vantage_ids = (task.vantage_ids
                    or list(range(len(topology.sources))))
@@ -263,12 +217,12 @@ def run_monitor_sharded(
     """Partition the monitor's vantages over ``shards`` replicas, merge,
     and finalize the alert pipeline over the merged onset stream.
 
-    ``runtime`` (a :class:`repro.runtime.RuntimeOptions`) or
-    ``journal_path`` switches from the bare pool to the supervised
-    executor — see :func:`run_monitor_supervised`.
+    Shards run under the same supervised executor as the fleet's
+    (:func:`repro.runtime.run_supervised`); ``runtime`` (a
+    :class:`repro.runtime.RuntimeOptions`, default
+    ``RuntimeOptions()``) tunes it and ``journal_path`` makes the run
+    resumable.
     """
-    from repro.vantage.sharding import plan_shards
-
     monitor = monitor or MonitorConfig()
     tasks = [
         MonitorShardTask(
@@ -278,125 +232,9 @@ def run_monitor_sharded(
             metrics=metrics, trace_capacity=trace_capacity)
         for vantage_ids in plan_shards(internet.n_vantages, shards)
     ]
-    if runtime is not None or journal_path is not None:
-        return run_monitor_supervised(
-            tasks, processes=processes, runtime=runtime,
-            journal_path=journal_path)
-    if processes and len(tasks) > 1:
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        with context.Pool(processes=len(tasks)) as pool:
-            parts = pool.map(run_monitor_shard, tasks)
-    else:
-        parts = [run_monitor_shard(task) for task in tasks]
-    return MonitorResult.merge(parts)
-
-
-# -- supervised execution -----------------------------------------------
-def monitor_shard_specs(tasks: Sequence[MonitorShardTask]) -> list:
-    """Wrap monitor shard tasks as supervisor shard specs (stable keys)."""
-    from repro.runtime import ShardSpec
-
-    return [
-        ShardSpec(
-            key="shard-v" + "-".join(str(v) for v in task.vantage_ids),
-            task=task, vantage_ids=list(task.vantage_ids))
-        for task in tasks
-    ]
-
-
-def validate_monitor_shard(task: MonitorShardTask,
-                           result: MonitorResult) -> None:
-    """Reject a partial result that is not ``task``'s vantage share."""
-    from repro.errors import CampaignError
-
-    got = sorted(v.index for v in result.fleet.vantages)
-    want = sorted(task.vantage_ids)
-    if got != want:
-        raise CampaignError(
-            f"shard result covers vantages {got}, task owns {want}: "
-            "refusing to merge a wrong-shard result")
-
-
-def split_monitor_spec(spec) -> list:
-    """Reassign an exhausted monitor shard: one task per vantage."""
-    from dataclasses import replace
-
-    from repro.runtime import ShardSpec
-
-    return [
-        ShardSpec(
-            key=f"{spec.key}/v{vantage_id}",
-            task=replace(spec.task, vantage_ids=[vantage_id]),
-            vantage_ids=[vantage_id])
-        for vantage_id in spec.vantage_ids
-    ]
-
-
-def monitor_run_identity(tasks: Sequence[MonitorShardTask]) -> str:
-    """The journal-binding digest of a sharded monitor run."""
-    from dataclasses import asdict
-
-    from repro.runtime import run_identity
-
-    first = tasks[0]
-    return run_identity({
-        "kind": "monitor",
-        "internet": asdict(first.internet),
-        "monitor": asdict(first.monitor),
-        "plan": [list(task.vantage_ids) for task in tasks],
-        "max_destinations": first.max_destinations,
-        "destination_seed": first.destination_seed,
-        "metrics": first.metrics,
-        "trace_capacity": first.trace_capacity,
-    })
-
-
-def run_monitor_supervised(
-    tasks: Sequence[MonitorShardTask],
-    processes: bool = False,
-    runtime=None,
-    journal_path=None,
-    registry=None,
-) -> MonitorResult:
-    """Run prepared monitor shard tasks under the fault-tolerant
-    supervisor, then finalize the alert pipeline over the merge.
-
-    Mirrors :func:`repro.vantage.sharding.run_fleet_supervised`: the
-    merged result carries the :class:`repro.runtime.DegradationReport`
-    on :attr:`MonitorResult.degradation` and the supervisor's
-    ``repro_runtime_*`` series in the fleet metrics snapshot.
-    """
-    from repro.errors import CampaignError
-    from repro.runtime import RunJournal, RuntimeOptions, ShardSupervisor
-
-    if not tasks:
-        raise CampaignError("no shard tasks to supervise")
-    runtime = runtime or RuntimeOptions()
-    journal = None
-    if journal_path is not None:
-        journal = RunJournal(journal_path, monitor_run_identity(tasks))
-    coordinator = registry
-    if coordinator is None and tasks[0].metrics:
-        from repro.obs.registry import MetricsRegistry
-
-        coordinator = MetricsRegistry()
-    supervised = ShardSupervisor(
-        monitor_shard_specs(tasks), run_monitor_shard,
-        processes=processes, options=runtime,
-        validate=validate_monitor_shard, split=split_monitor_spec,
-        journal=journal, registry=coordinator).execute()
-    merged = MonitorResult.merge(supervised.results)
-    merged.degradation = supervised.report
-    if coordinator is not None and registry is None:
-        from repro.obs.registry import MetricsSnapshot
-
-        snapshots = [s for s in (merged.fleet.metrics,
-                                 coordinator.snapshot())
-                     if s is not None]
-        merged.fleet.metrics = MetricsSnapshot.merge(snapshots)
-    return merged
+    return run_supervised(tasks, run_monitor_shard, MonitorResult.merge,
+                          processes=processes, runtime=runtime,
+                          journal_path=journal_path)
 
 
 class MonitorService:
@@ -428,8 +266,8 @@ class MonitorService:
             runtime=None, journal_path=None) -> MonitorResult:
         """Execute the service; ``shards > 1`` partitions the fleet.
 
-        ``runtime`` / ``journal_path`` engage the supervised executor
-        even at ``shards=1`` (one shard, still crash-safe).
+        ``runtime`` / ``journal_path`` shard the run even at
+        ``shards=1`` (one supervised shard, still crash-safe).
         """
         if shards <= 1 and runtime is None and journal_path is None:
             return run_monitor(

@@ -49,6 +49,22 @@ class MonitorResult:
     #: supervised execution; outside the signature like ``health``.
     degradation: object = None
 
+    # The fleet-shaped accessors the shared shard executor
+    # (:mod:`repro.runtime.shards`) reads on every kind of result.
+    @property
+    def vantages(self) -> list:
+        """The per-vantage outcomes, as on :class:`FleetResult`."""
+        return self.fleet.vantages
+
+    @property
+    def metrics(self):
+        """The run's metrics snapshot (held by the fleet result)."""
+        return self.fleet.metrics
+
+    @metrics.setter
+    def metrics(self, snapshot) -> None:
+        self.fleet.metrics = snapshot
+
     @classmethod
     def merge(cls, parts: Iterable["MonitorResult"]) -> "MonitorResult":
         """Recombine per-shard partials and finalize the pipeline."""

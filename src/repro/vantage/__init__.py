@@ -15,7 +15,8 @@ workload:
   :class:`repro.engine.scheduler.ProbeScheduler`, producing a
   per-vantage :class:`FleetResult`;
 - :mod:`repro.vantage.sharding` — sharded execution on seeded topology
-  replicas (inline or process pool) with deterministic merging.
+  replicas (inline or worker processes, always under the
+  :mod:`repro.runtime` supervisor) with deterministic merging.
 
 Cross-vantage analysis (union graphs, side-by-side anomaly tables,
 coverage) lives in :mod:`repro.core.fleetview`.

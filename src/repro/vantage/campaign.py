@@ -488,8 +488,20 @@ class FleetCampaign:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def _lane_entries(self, share: list[IPv4Address]) -> list[tuple]:
+        """One worker lane's ``(round_index, position, destination,
+        not_before)`` entries, in lane order.
+
+        The fleet cycles its share ``rounds`` times back to back with
+        no pacing; a subclass may reorder the entries and stamp
+        simulated start instants on them (the monitor's calendars).
+        """
+        return [(round_index, position, destination, 0.0)
+                for round_index in range(self.config.rounds)
+                for position, destination in enumerate(share)]
+
     def run(self) -> FleetResult:
-        """Run every owned vantage's rounds; returns per-vantage results."""
+        """Run every owned vantage's lanes; returns per-vantage results."""
         cfg = self.config
         scheduler = ProbeScheduler(
             self.network,
@@ -505,24 +517,25 @@ class FleetCampaign:
                 if not share:
                     continue
                 specs: list = []
-                for round_index in range(cfg.rounds):
-                    for position, destination in enumerate(share):
-                        paris_builder, classic_builder = self._builders_for(
-                            v, round_index, worker, position, destination)
-                        specs.append(TraceSpec(
-                            self._paris[v], destination, paris_builder,
-                            meta=(v, round_index)))
-                        specs.append(TraceSpec(
-                            self._classic[v], destination, classic_builder,
-                            meta=(v, round_index)))
-                        if self.strategy_factory is not None:
-                            specs.append(StrategySpec(
-                                factory=self._bound_strategy(
-                                    v, round_index, worker, position,
-                                    destination),
-                                label="fleet-strategy",
-                                meta=(v, round_index, worker, destination),
-                            ))
+                for (round_index, position, destination,
+                     not_before) in self._lane_entries(share):
+                    paris_builder, classic_builder = self._builders_for(
+                        v, round_index, worker, position, destination)
+                    specs.append(TraceSpec(
+                        self._paris[v], destination, paris_builder,
+                        meta=(v, round_index), not_before=not_before))
+                    specs.append(TraceSpec(
+                        self._classic[v], destination, classic_builder,
+                        meta=(v, round_index), not_before=not_before))
+                    if self.strategy_factory is not None:
+                        specs.append(StrategySpec(
+                            factory=self._bound_strategy(
+                                v, round_index, worker, position,
+                                destination),
+                            label="fleet-strategy",
+                            meta=(v, round_index, worker, destination),
+                            not_before=not_before,
+                        ))
                 scheduler.add_lane(
                     specs,
                     inter_trace_delay=cfg.inter_trace_delay,

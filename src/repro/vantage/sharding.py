@@ -1,4 +1,4 @@
-"""Sharded fleet execution: vantages partitioned across processes.
+"""Sharded fleet execution: vantages partitioned across replicas.
 
 A fleet campaign's vantage timelines are mutually independent (see
 :mod:`repro.vantage.campaign`), so the fleet partitions cleanly: give
@@ -12,41 +12,31 @@ byte-identical to the single-process run — same routes, same
 timestamps, same strategy forensics — which :meth:`FleetResult.signature`
 makes checkable in one comparison.
 
-Two backends:
-
-- ``processes=False`` (default) runs the shards sequentially in this
-  process — same replicas, same isolation, no pickling constraints;
-- ``processes=True`` fans the shards out over a
-  :mod:`multiprocessing` pool.  Everything crossing the process
-  boundary (the configs, the optional ``strategy_builder``, the
-  results) must pickle, so ``strategy_builder`` has to be a
-  module-level callable — :func:`mda_strategy_builder` is the stock
-  one.
-
-Passing ``runtime=`` (a :class:`repro.runtime.RuntimeOptions`) or
-``journal_path=`` routes either backend through the
-:class:`repro.runtime.ShardSupervisor` instead: worker crashes, hangs,
-and lost results are retried under seeded backoff, an exhausted
-shard's vantages are reassigned to fresh single-vantage workers, and
-whatever still fails is *excluded* — the merged result carries a
+Shards run on one executor, :func:`repro.runtime.run_supervised` (the
+same one the monitor uses): ``processes=False`` (default) runs them in
+this process, ``processes=True`` gives each attempt its own worker
+process.  Either way, worker crashes, hangs, and lost results are
+retried under seeded backoff, an exhausted shard's vantages are
+reassigned to fresh single-vantage workers, and whatever still fails
+is *excluded* — the merged result carries a
 :class:`repro.runtime.DegradationReport` instead of the run dying.
 Because shard results are pure functions of their
 :class:`FleetShardTask`, any recovery schedule merges to the same
-bytes as the unfaulted run.
+bytes as the unfaulted run.  Everything crossing a process boundary
+(the configs, the optional ``strategy_builder``, the results) must
+pickle, so ``strategy_builder`` has to be a module-level callable —
+:func:`mda_strategy_builder` is the stock one.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional
 
 from repro.errors import CampaignError
-from repro.measurement.destinations import (
-    select_pingable_destinations,
-    split_among_workers,
-)
-from repro.topology.internet import InternetConfig, generate_internet
+from repro.measurement.destinations import split_among_workers
+from repro.runtime.shards import build_replica, run_supervised
+from repro.topology.internet import InternetConfig
 from repro.vantage.campaign import FleetCampaign, FleetConfig, FleetResult
 
 
@@ -86,30 +76,18 @@ class FleetShardTask:
     #: Ring capacity for a :class:`repro.obs.ProbeTracer` on the
     #: replica network; 0 (default) disables tracing.
     trace_capacity: int = 0
+    #: Names the run in its journal identity.
+    kind: ClassVar[str] = "fleet"
+
+    @property
+    def fleet_config(self) -> FleetConfig:
+        """The fleet config the shard's campaign runs under."""
+        return self.fleet
 
 
 def materialize_shard(task: FleetShardTask) -> FleetCampaign:
     """Build a shard's campaign on a fresh seeded topology replica."""
-    topology = generate_internet(task.internet)
-    seed = (task.destination_seed if task.destination_seed is not None
-            else task.fleet.seed)
-    destinations = select_pingable_destinations(
-        topology.network, topology.source,
-        topology.destination_addresses,
-        count=task.max_destinations, seed=seed)
-    # Observability is installed *after* the pingable pre-screen: the
-    # pre-screen probes from ``topology.source`` replay in every shard
-    # replica, so counting them would break the merged-snapshot ==
-    # single-process guarantee.  Metrics cover the campaign proper.
-    if task.metrics:
-        from repro.obs.registry import MetricsRegistry
-
-        topology.network.metrics = MetricsRegistry()
-    if task.trace_capacity > 0:
-        from repro.obs.tracing import ProbeTracer
-
-        topology.network.tracer = ProbeTracer(
-            capacity=task.trace_capacity)
+    topology, destinations = build_replica(task)
     campaign = FleetCampaign(
         topology.network, topology.sources, destinations,
         config=task.fleet, vantage_ids=task.vantage_ids)
@@ -119,7 +97,7 @@ def materialize_shard(task: FleetShardTask) -> FleetCampaign:
 
 
 def run_shard(task: FleetShardTask) -> FleetResult:
-    """Run one shard to completion (the process-pool work function)."""
+    """Run one shard to completion (the supervised work function)."""
     return materialize_shard(task).run()
 
 
@@ -173,9 +151,10 @@ def run_fleet_sharded(
 ) -> FleetResult:
     """Partition the fleet's vantages over ``shards`` replicas and merge.
 
-    ``runtime`` (a :class:`repro.runtime.RuntimeOptions`) or
-    ``journal_path`` switches from the bare pool to the supervised
-    executor — see :func:`run_fleet_supervised`.
+    Shards run under the supervisor (:func:`repro.runtime
+    .run_supervised`); ``runtime`` (a :class:`repro.runtime
+    .RuntimeOptions`, default ``RuntimeOptions()``) tunes it and
+    ``journal_path`` makes the run resumable.
     """
     fleet = fleet or FleetConfig()
     tasks = [
@@ -187,136 +166,6 @@ def run_fleet_sharded(
             metrics=metrics, trace_capacity=trace_capacity)
         for vantage_ids in plan_shards(internet.n_vantages, shards)
     ]
-    if runtime is not None or journal_path is not None:
-        return run_fleet_supervised(
-            tasks, processes=processes, runtime=runtime,
-            journal_path=journal_path)
-    if processes and len(tasks) > 1:
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        with context.Pool(processes=len(tasks)) as pool:
-            parts = pool.map(run_shard, tasks)
-    else:
-        parts = [run_shard(task) for task in tasks]
-    return FleetResult.merge(parts)
-
-
-# -- supervised execution -----------------------------------------------
-def fleet_shard_specs(tasks: Sequence[FleetShardTask]) -> list:
-    """Wrap shard tasks as supervisor :class:`repro.runtime.ShardSpec`s.
-
-    Keys name the shard by its vantages (``shard-v0-1``), so the same
-    plan always produces the same keys — the property journal resume
-    and seeded chaos plans both rely on.
-    """
-    from repro.runtime import ShardSpec
-
-    return [
-        ShardSpec(
-            key="shard-v" + "-".join(str(v) for v in task.vantage_ids),
-            task=task, vantage_ids=list(task.vantage_ids))
-        for task in tasks
-    ]
-
-
-def validate_fleet_shard(task: FleetShardTask,
-                         result: FleetResult) -> None:
-    """Reject a result that does not belong to ``task``'s vantages."""
-    got = sorted(v.index for v in result.vantages)
-    want = sorted(task.vantage_ids)
-    if got != want:
-        raise CampaignError(
-            f"shard result covers vantages {got}, task owns {want}: "
-            "refusing to merge a wrong-shard result")
-
-
-def split_fleet_spec(spec) -> list:
-    """Reassign an exhausted shard: one fresh task per vantage.
-
-    Shard results are pure functions of their tasks, so regrouping a
-    shard's vantages into singleton tasks changes nothing about the
-    merged bytes — only which worker computes them.
-    """
-    from dataclasses import replace
-
-    from repro.runtime import ShardSpec
-
-    return [
-        ShardSpec(
-            key=f"{spec.key}/v{vantage_id}",
-            task=replace(spec.task, vantage_ids=[vantage_id]),
-            vantage_ids=[vantage_id])
-        for vantage_id in spec.vantage_ids
-    ]
-
-
-def fleet_run_identity(tasks: Sequence[FleetShardTask]) -> str:
-    """The journal-binding digest of a sharded fleet run.
-
-    Covers everything that determines the run's bytes: both configs,
-    the shard plan, the destination knobs, and the strategy builder's
-    name.  A resume against a journal written under any other
-    description is refused.
-    """
-    from dataclasses import asdict
-
-    from repro.runtime import run_identity
-
-    first = tasks[0]
-    builder = first.strategy_builder
-    return run_identity({
-        "kind": "fleet",
-        "internet": asdict(first.internet),
-        "fleet": asdict(first.fleet),
-        "plan": [list(task.vantage_ids) for task in tasks],
-        "max_destinations": first.max_destinations,
-        "destination_seed": first.destination_seed,
-        "strategy_builder": getattr(builder, "__name__", None),
-        "metrics": first.metrics,
-        "trace_capacity": first.trace_capacity,
-    })
-
-
-def run_fleet_supervised(
-    tasks: Sequence[FleetShardTask],
-    processes: bool = False,
-    runtime=None,
-    journal_path=None,
-    registry=None,
-) -> FleetResult:
-    """Run prepared shard tasks under the fault-tolerant supervisor.
-
-    The merged result carries the run's
-    :class:`repro.runtime.DegradationReport` (when there is anything
-    to report) on :attr:`FleetResult.degradation`, and — when shard
-    metrics are enabled — the supervisor's ``repro_runtime_*`` series
-    merged into :attr:`FleetResult.metrics`.
-    """
-    from repro.runtime import RunJournal, RuntimeOptions, ShardSupervisor
-
-    if not tasks:
-        raise CampaignError("no shard tasks to supervise")
-    runtime = runtime or RuntimeOptions()
-    journal = None
-    if journal_path is not None:
-        journal = RunJournal(journal_path, fleet_run_identity(tasks))
-    coordinator = registry
-    if coordinator is None and tasks[0].metrics:
-        from repro.obs.registry import MetricsRegistry
-
-        coordinator = MetricsRegistry()
-    supervised = ShardSupervisor(
-        fleet_shard_specs(tasks), run_shard,
-        processes=processes, options=runtime,
-        validate=validate_fleet_shard, split=split_fleet_spec,
-        journal=journal, registry=coordinator).execute()
-    merged = FleetResult.merge(supervised.results)
-    merged.degradation = supervised.report
-    if coordinator is not None and registry is None:
-        from repro.obs.registry import MetricsSnapshot
-
-        snapshots = [s for s in (merged.metrics, coordinator.snapshot())
-                     if s is not None]
-        merged.metrics = MetricsSnapshot.merge(snapshots)
-    return merged
+    return run_supervised(tasks, run_shard, FleetResult.merge,
+                          processes=processes, runtime=runtime,
+                          journal_path=journal_path)

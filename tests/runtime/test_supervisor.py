@@ -142,17 +142,6 @@ class TestReassignment:
         assert run.report.degraded
         assert run.report.excluded_vantages == [0]
 
-    def test_reassignment_disabled_excludes_the_group(self):
-        spec = [ShardSpec(key="g", task=7, vantage_ids=[0, 1]),
-                ShardSpec(key="ok", task=1, vantage_ids=[2])]
-        run = ShardSupervisor(
-            spec, work, split=split,
-            options=options(max_retries=0, reassign=False,
-                            chaos=ChaosPlan.of(("g", 0, "crash"))),
-        ).execute()
-        assert run.report.excluded_vantages == [0, 1]
-        assert len(run.results) == 1
-
 
 class TestDegradation:
     def test_exclusion_records_attempts_and_reason(self):

@@ -12,14 +12,12 @@ import pytest
 
 from repro.errors import CampaignError
 from repro.measurement.destinations import split_among_workers
+from repro.runtime import shard_specs, validate_shard
+from repro.service import MonitorConfig
+from repro.service.orchestrator import MonitorShardTask, run_monitor_shard
 from repro.topology import InternetConfig
 from repro.vantage import FleetConfig, plan_shards, run_fleet, run_fleet_sharded
-from repro.vantage.sharding import (
-    FleetShardTask,
-    fleet_shard_specs,
-    run_shard,
-    validate_fleet_shard,
-)
+from repro.vantage.sharding import FleetShardTask, run_shard
 
 TINY = InternetConfig(
     seed=9, n_tier1=2, n_transit=2, n_stub=3, dests_per_stub=1,
@@ -28,6 +26,27 @@ TINY = InternetConfig(
     n_vantages=2)
 
 FLEET = FleetConfig(rounds=1, workers=2, seed=5)
+
+MONITOR = MonitorConfig(duration=60.0, periods=(30.0,), max_rounds=1,
+                        fleet=FLEET)
+
+
+def fleet_task(vantage_ids):
+    return FleetShardTask(internet=TINY, fleet=FLEET,
+                          vantage_ids=vantage_ids)
+
+
+def monitor_task(vantage_ids):
+    return MonitorShardTask(internet=TINY, monitor=MONITOR,
+                            vantage_ids=vantage_ids)
+
+
+#: (task factory, work function) per kind of sharded run; the
+#: validator is shared, so both kinds must pass the same checks.
+SHARD_KINDS = {
+    "fleet": (fleet_task, run_shard),
+    "monitor": (monitor_task, run_monitor_shard),
+}
 
 
 class TestSplitAmongWorkers:
@@ -57,7 +76,7 @@ class TestPlanShards:
         tasks = [FleetShardTask(internet=TINY, fleet=FLEET,
                                 vantage_ids=ids)
                  for ids in plan_shards(2, 8)]
-        specs = fleet_shard_specs(tasks)
+        specs = shard_specs(tasks)
         assert [s.key for s in specs] == ["shard-v0", "shard-v1"]
         assert all(s.vantage_ids for s in specs)
 
@@ -69,17 +88,17 @@ class TestOversharding:
         assert oversharded.signature() == single.signature()
 
 
+@pytest.mark.parametrize("kind", sorted(SHARD_KINDS))
 class TestWrongShardResults:
-    def test_foreign_result_rejected(self):
-        mine = FleetShardTask(internet=TINY, fleet=FLEET,
-                              vantage_ids=[0])
-        theirs = FleetShardTask(internet=TINY, fleet=FLEET,
-                                vantage_ids=[1])
-        stray = run_shard(theirs)
+    def test_foreign_result_rejected(self, kind):
+        make_task, work = SHARD_KINDS[kind]
+        mine = make_task([0])
+        theirs = make_task([1])
+        stray = work(theirs)
         with pytest.raises(CampaignError, match="wrong-shard"):
-            validate_fleet_shard(mine, stray)
+            validate_shard(mine, stray)
 
-    def test_own_result_accepted(self):
-        task = FleetShardTask(internet=TINY, fleet=FLEET,
-                              vantage_ids=[0, 1])
-        validate_fleet_shard(task, run_shard(task))
+    def test_own_result_accepted(self, kind):
+        make_task, work = SHARD_KINDS[kind]
+        task = make_task([0, 1])
+        validate_shard(task, work(task))

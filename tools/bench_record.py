@@ -54,10 +54,10 @@ link censuses are seed-deterministic and drift-gated.
 
 Schema 6 adds a ``runtime`` leg
 (``benchmarks/test_bench_runtime_recovery.py``): the supervised
-executor's overhead over the bare shard pool (gated at <= 5 % on the
-best *paired* ratio over interleaved timing rounds, so one-sided
-machine noise cannot trip it), the wall cost of recovering one seeded
-worker crash
+executor's overhead over the bench's bare shard run (gated at <= 5 %
+on the best *paired* ratio over interleaved timing rounds, so
+one-sided machine noise cannot trip it), the wall cost of recovering
+one seeded worker crash
 (``time_to_recover_s``, trend only), and a new deterministic gate —
 bare, supervised, and crash-recovered runs must all produce the same
 result signature.
@@ -333,7 +333,7 @@ def check(record: dict, baseline: dict) -> list[str]:
     if not runtime["signature_match"]:
         problems.append(
             "runtime: supervised or crash-recovered execution no "
-            "longer reproduces the bare shard pool's signature — "
+            "longer reproduces the bare shard run's signature — "
             "recovery stopped being invisible in the output")
     ceiling = 1.0 + SUPERVISOR_OVERHEAD_TOLERANCE
     if runtime["overhead_ratio"] > ceiling:
