@@ -1,8 +1,8 @@
 """The non-blocking probe socket.
 
 Same contract as :class:`repro.sim.socketapi.ProbeSocket` at the wire
-boundary — probes go down as bytes and are parsed (and validated)
-here, responses come back up as bytes and are re-parsed — but nothing
+boundary — probes go down as bytes and are validated here, and
+responses come back up with their wire bytes on demand — but nothing
 blocks: :meth:`AsyncProbeSocket.send_nowait` stages a probe and
 returns immediately with its delivery deadline, :meth:`flush` walks the
 staged cohort through :meth:`Network.submit_cohort`, and :meth:`poll`
@@ -155,19 +155,18 @@ class AsyncProbeSocket:
     def poll(self, until: float | None = None) -> list[ProbeResponse]:
         """Responses that reached the vantage point by ``until``.
 
-        ``raw`` carries the wire bytes as the blocking socket's would;
-        the packet itself is handed over zero-copy (it is a frozen
-        dataclass, and serialisation materialises the same checksums a
-        re-parse would read), which is where an event engine sheds the
-        per-read allocation cost of the stop-and-wait socket.  ``rtt``
-        is the walk's elapsed time (send instant to arrival).
+        The packet is handed over zero-copy (it is a frozen dataclass,
+        and serialisation materialises the same checksums a re-parse
+        would read), which is where an event engine sheds the per-read
+        cost of the stop-and-wait socket: nothing is serialized here,
+        and ``raw`` builds the wire bytes only if someone reads them.
+        ``rtt`` is the walk's elapsed time (send instant to arrival).
         """
         responses: list[ProbeResponse] = []
         for arrival, delivery in self.network.deliveries(until=until,
                                                          node=self.host):
             responses.append(ProbeResponse(
                 packet=delivery.packet,
-                raw=delivery.packet.build(),
                 rtt=delivery.elapsed,
                 received_at=arrival,
             ))

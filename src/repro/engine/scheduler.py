@@ -278,33 +278,38 @@ def probe_match_keys(probe: Packet) -> list[tuple]:
     types that can also be answered directly (Echo Reply, TCP) add a
     second key.  Dict hits are *confirmed* with the builder's own
     matching logic, and misses fall back to a linear scan with it, so
-    the index is purely an accelerator.
+    the index is purely an accelerator.  Addresses enter the keys as
+    their raw 32-bit values: an int hashes without the method-call
+    round trip of :meth:`IPv4Address.__hash__`, and every probe and
+    every response hashes its keys several times.
     """
-    keys = [("quote", probe.src, probe.dst, int(probe.ip.protocol),
+    ip = probe.ip
+    keys = [("quote", ip.src._value, ip.dst._value, ip.protocol,
              probe.first_eight_transport_octets())]
     transport = probe.transport
     if isinstance(transport, ICMPEchoRequest):
-        keys.append(("echo", probe.dst, transport.identifier,
+        keys.append(("echo", ip.dst._value, transport.identifier,
                      transport.sequence))
     elif isinstance(transport, TCPHeader):
-        keys.append(("tcp", probe.dst, transport.dst_port,
+        keys.append(("tcp", ip.dst._value, transport.dst_port,
                      transport.src_port, (transport.seq + 1) & 0xFFFFFFFF))
     return keys
 
 
 def response_match_keys(packet: Packet) -> list[tuple]:
-    """The demux keys a received packet answers to."""
+    """The demux keys a received packet answers to (int-keyed, as
+    :func:`probe_match_keys`)."""
     transport = packet.transport
     if isinstance(transport, _ICMP_ERROR):
         quoted = transport.quoted_header
-        return [("quote", quoted.src, quoted.dst, int(quoted.protocol),
-                 transport.quoted_payload[:8])]
+        return [("quote", quoted.src._value, quoted.dst._value,
+                 quoted.protocol, transport.quoted_payload[:8])]
     if isinstance(transport, ICMPEchoReply):
-        return [("echo", packet.src, transport.identifier,
+        return [("echo", packet.ip.src._value, transport.identifier,
                  transport.sequence)]
     if isinstance(transport, TCPHeader):
-        return [("tcp", packet.src, transport.src_port, transport.dst_port,
-                 transport.ack)]
+        return [("tcp", packet.ip.src._value, transport.src_port,
+                 transport.dst_port, transport.ack)]
     return []
 
 

@@ -106,12 +106,14 @@ def first_transport_word_flow(packet: Packet) -> FlowId:
     elif isinstance(t, ICMPEchoRequest):
         word = t.first_four_octets()
         detail = f"icmp type/code/cksum {word.hex()}"
-    elif isinstance(t, (ICMPEchoReply, ICMPTimeExceeded,
-                        ICMPDestinationUnreachable)):
-        # Responses: type, code, and their own checksum.
-        raw = t.build()[:4]
-        word = raw
-        detail = f"icmp response word {raw.hex()}"
+    elif isinstance(t, (ICMPTimeExceeded, ICMPDestinationUnreachable)):
+        # Responses: type, code, and their own checksum — derived
+        # without serializing the quote.
+        word = t.first_four_octets()
+        detail = f"icmp response word {word.hex()}"
+    elif isinstance(t, ICMPEchoReply):
+        word = packet.transport_bytes()[:4]
+        detail = f"icmp response word {word.hex()}"
     else:  # pragma: no cover - transports are exhaustive
         word = b"\x00\x00\x00\x00"
         detail = "unknown transport"

@@ -36,6 +36,7 @@ QUOTED_PAYLOAD_LENGTH = 8
 
 _ECHO_STRUCT = struct.Struct("!BBHHH")
 _ERROR_STRUCT = struct.Struct("!BBHI")
+_WORD_STRUCT = struct.Struct("!BBH")
 
 
 class ICMPType(enum.IntEnum):
@@ -177,13 +178,29 @@ class _ICMPError:
         ck = checksum(base + quoted)
         return _ERROR_STRUCT.pack(int(icmp_type), self.code, ck, 0) + quoted
 
+    def first_four_octets(self) -> bytes:
+        """Type, Code, Checksum — the word a per-flow balancer hashes.
+
+        Computed without serializing the quote: :meth:`_build` always
+        emits the quoted IP header with a freshly computed checksum, and
+        a correctly checksummed header sums to zero in one's-complement
+        arithmetic, so the message checksum depends only on the type,
+        the code and the quoted payload octets.
+        """
+        icmp_type = int(self.icmp_type)
+        ck = checksum(_ERROR_STRUCT.pack(icmp_type, self.code, 0, 0)
+                      + self.quoted_payload[:QUOTED_PAYLOAD_LENGTH])
+        return _WORD_STRUCT.pack(icmp_type, self.code, ck)
+
     @property
     def probe_ttl(self) -> int:
         """TTL of the quoted (discarded) probe — the paper's "probe TTL".
 
-        A well-behaved router discards at TTL 1 after decrementing to...
-        actually quotes the TTL *as received and decided upon*; normal
-        traceroute operation yields 1.  Zero signals zero-TTL forwarding.
+        The router quotes the probe's IP header as it arrived, before
+        any decrement, so normal traceroute operation yields 1: the
+        probe reached the router with TTL 1 and was discarded there.
+        Zero reveals an upstream router that forwarded the probe with
+        TTL 0 (the paper's zero-TTL forwarding, Fig. 4).
         """
         return self.quoted_header.ttl
 

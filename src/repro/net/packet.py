@@ -8,7 +8,7 @@ quotes is taken from the same octets a real network would see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from repro.errors import FieldValueError
@@ -128,20 +128,29 @@ class Packet:
         raise FieldValueError("protocol", protocol, "unsupported IP protocol")
 
     def decremented(self) -> "Packet":
-        """A copy with the IP TTL reduced by one."""
-        return replace(self, ip=self.ip.decremented())
+        """A copy with the IP TTL reduced by one (transport memo adopted)."""
+        return self.with_ip(self.ip.decremented())
 
     def with_ip_identification(self, identification: int) -> "Packet":
         """A copy differing only in the IP Identification field.
 
-        The transport-wire memo is adopted: Identification is not part
-        of any pseudo-header, so the transport octets — including the
-        quoted slice routers echo back — are unchanged.  MDA's ip-id
-        disambiguation retags every UDP probe through this.
+        MDA's ip-id disambiguation retags every UDP probe through this;
+        the transport memo is adopted (see :meth:`with_ip`).
         """
         if identification == self.ip.identification:
             return self
-        copy = replace(self, ip=self.ip.with_identification(identification))
+        return self.with_ip(self.ip.with_identification(identification))
+
+    def with_ip(self, ip: IPv4Header) -> "Packet":
+        """A copy carrying ``ip``, adopting the transport-wire memo.
+
+        Only for headers differing in fields outside the UDP/TCP
+        pseudo-header (TTL, Identification): the transport octets —
+        including the quoted slice routers echo back — are then
+        unchanged, so they are serialized once per probe, not once per
+        forwarding step.
+        """
+        copy = Packet(ip=ip, transport=self.transport, payload=self.payload)
         body = self.__dict__.get("_transport_wire")
         if body is not None:
             object.__setattr__(copy, "_transport_wire", body)

@@ -9,13 +9,20 @@ proportional to *distinct forwarding decisions*, not to probes:
   :meth:`repro.sim.router.Router.lookup_cached`'s covering-prefix
   aggregation (one FIB walk per forwarding-equivalence region, one
   dict probe for every further destination inside it) and across hops
-  through a per-walk (node, destination) memo;
+  and walks through the network's (node, destination) transit memo;
 - pure transit is *zoomed*: each traveler crosses its run of plain
   forwarding nodes in one tight loop of integer TTL bookkeeping — no
   per-hop packet copies — and balancer-free lossless router chains are
   memoised as :class:`_Segment` runs that every later traveler toward
   the same destination jumps wholesale (the big win for windowed
   probes and for the response streams converging on each vantage);
+- the transit memo outlives the walk: :meth:`Network.transit_memo`
+  hands every walk the same dict while the network's routing epoch is
+  unchanged (:mod:`repro.sim.epoch`: route table or override changes,
+  nodes joining, interface indexing, and assignments to a link's
+  ``up``, ``loss_rate`` or ``delay`` advance it), and a fresh
+  walk-scoped one while any router carries timed overrides, whose
+  activation depends on the clock;
 - side-effect events — TTL expiry, local delivery, null routes,
   non-router nodes — are parked at the traveler's path position
   (its *round*) and processed round-by-round in a canonical group
@@ -48,8 +55,9 @@ guarantees exclude such topologies.  Per-client state (IP-ID streams,
 ICMP token buckets, burst-loss channels, the delivery fault plane) is
 where the sharded-fleet guarantee lives, and the batched walk protects
 it *structurally*: transit consumes no per-client state at all (and
-segment jumps are bit-equal to walking, so *who* warmed a memo can
-never matter), while side effects fire only at park-processing time —
+segment jumps are bit-equal to walking, so *who* warmed a memo — in
+this walk or an earlier one — can never matter), while side effects
+fire only at park-processing time —
 ordered by round, then by the canonical ``(node name, ingress index)``
 sort of each round's groups, then by bucket append order, which
 restricted to one client is a pure function of that client's own
@@ -70,6 +78,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.net.inet import IPv4Address
+from repro.net.ipv4 import IPv4Header
 from repro.net.packet import Packet
 from repro.sim.balancer import (
     PerDestinationPolicy,
@@ -88,14 +97,6 @@ from repro.sim.node import Deliver, Drop, Interface, Node, Respond, Transmit
 from repro.sim.router import Router
 
 
-from repro.net.ipv4 import IPv4Header
-
-_IP_FIELDS = (
-    "src", "dst", "protocol", "identification", "tos", "flags",
-    "fragment_offset", "total_length",
-)
-
-
 def _header_with_ttl(ip: IPv4Header, ttl: int) -> IPv4Header:
     """A TTL-replaced header copy without re-validation.
 
@@ -105,10 +106,9 @@ def _header_with_ttl(ip: IPv4Header, ttl: int) -> IPv4Header:
     ``ip.with_ttl(ttl)`` (checksums are computed at build time).
     """
     header = IPv4Header.__new__(IPv4Header)
-    setattr_ = object.__setattr__
-    for name in _IP_FIELDS:
-        setattr_(header, name, getattr(ip, name))
-    setattr_(header, "ttl", ttl)
+    fields = header.__dict__
+    fields.update(ip.__dict__)
+    fields["ttl"] = ttl
     return header
 
 
@@ -144,15 +144,7 @@ class _Traveler:
         source = self.packet
         if source.ip.ttl == self.ttl:
             return source
-        packet = Packet(
-            ip=_header_with_ttl(source.ip, self.ttl),
-            transport=source.transport,
-            payload=source.payload,
-        )
-        body = source.__dict__.get("_transport_wire")
-        if body is not None:
-            object.__setattr__(packet, "_transport_wire", body)
-        return packet
+        return source.with_ip(_header_with_ttl(source.ip, self.ttl))
 
 
 #: Per-(node, destination) resolution markers: the destination is one
@@ -263,11 +255,11 @@ def _bind_transit_children(metrics) -> dict:
         "memo_hits": counter(
             "repro_transit_walk_memo_hits_total",
             "Per-hop (node, destination) resolutions served by the "
-            "walk memo."),
+            "transit memo."),
         "resolutions": counter(
             "repro_transit_walk_resolutions_total",
-            "Fresh (node, destination) resolutions this walk "
-            "(locality probes and cached route lookups)."),
+            "Fresh (node, destination) resolutions entered into the "
+            "transit memo (locality probes and cached route lookups)."),
         "zoom_length": metrics.histogram(
             "repro_transit_zoom_length_hops",
             "Hops advanced per zoom run (segment jumps included).",
@@ -293,12 +285,12 @@ class _BatchedWalk:
 
     Pure transit is *zoomed*: each traveler crosses its whole run of
     plain-forwarding nodes in one tight loop whose per-hop cost is a
-    couple of dict probes against the walk's (node, destination)
-    resolution memo — no per-hop grouping, no packet copies.  Only
-    side-effect events (TTL expiry, local delivery, null routes,
-    non-router nodes) are parked, at the traveler's path position, in
-    per-round ``(node, ingress)`` buckets that :meth:`run` processes in
-    round order and canonical group order.
+    couple of dict probes against the (node, destination) transit
+    memo — no per-hop grouping, no packet copies.  Only side-effect
+    events (TTL expiry, local delivery, null routes, non-router nodes)
+    are parked, at the traveler's path position, in per-round
+    ``(node, ingress)`` buckets that :meth:`run` processes in round
+    order and canonical group order.
     """
 
     def __init__(self, network: Network) -> None:
@@ -316,12 +308,14 @@ class _BatchedWalk:
         # Policies are referenced by live route entries for the whole
         # walk, so their ids are stable here.
         self._buckets: dict[tuple[int, bytes, int], int] = {}
-        # Per-node destination resolutions for this walk: node -> {dst:
-        # _LOCAL | _UNROUTED | RouteEntry}.  Combines the locality check
-        # and the route-entry resolution into one probe per hop; walk-
-        # scoped (the clock is frozen during a walk), so it is valid
-        # even while dynamics overrides bypass the router-level memo.
-        self._resolved: dict[Node, dict[IPv4Address, object]] = {}
+        # Per-node destination resolutions: node -> {dst value: _LOCAL |
+        # _UNROUTED | RouteEntry | _Segment}.  Combines the locality
+        # check and the route-entry resolution into one probe per hop.
+        # The network shares one memo across walks while the routing
+        # epoch holds, and hands out a walk-scoped one (the clock is
+        # frozen during a walk) while dynamics overrides are installed.
+        self._resolved: dict[Node, dict[int, object]] = (
+            network.transit_memo())
         # The network's address -> node index (one dict probe decides
         # destination locality — never a scan over nodes).
         self._owner_of = network._address_index
@@ -360,8 +354,18 @@ class _BatchedWalk:
             # Router.dispatch with the route resolution memoised (a NAT
             # box dispatches exactly like a router: masquerading only
             # applies to *forwarded* traffic).  No TTL decrement for
-            # local traffic.
-            entry = node.lookup_cached(packet.ip.dst, self.now)[0]
+            # local traffic.  A transit-memo entry for (node, dst)
+            # already holds the resolution; locality is no concern of
+            # dispatch, so a _LOCAL marker still resolves the route.
+            dst = packet.ip.dst
+            resolved = self._resolved.get(node)
+            state = None if resolved is None else resolved.get(dst._value)
+            if state.__class__ is _Segment:
+                entry = state.entry
+            elif state is None or state is _LOCAL:
+                entry = node.lookup_cached(dst, self.now)[0]
+            else:
+                entry = None if state is _UNROUTED else state
             if entry is None or entry.unreachable:
                 self.result.drops.append(
                     DropRecord(node, packet,
@@ -451,7 +455,7 @@ class _BatchedWalk:
         """Carry one traveler through plain transit; park at side effects.
 
         Each iteration is one node visit: resolve the destination
-        through the walk memo (locality + route entry in one probe,
+        through the transit memo (locality + route entry in one probe,
         covering-prefix aggregation underneath), pick the egress, apply
         NAT masquerading where the slow path would, and cross the link
         (TTL decrement, loss draw, delay).  The loop exits — parking

@@ -9,19 +9,27 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.sim.epoch import RoutingEpoch
     from repro.sim.node import Interface
 
 
-@dataclass
+#: Link attributes transit memos are derived from.
+_ROUTING_FIELDS = frozenset(("up", "loss_rate", "delay"))
+
+
+@dataclass(init=False)
 class Link:
     """An undirected link joining exactly two interfaces.
 
     ``delay`` is the one-way propagation delay in seconds; ``loss_rate``
     the independent per-packet drop probability.  A link can be taken
-    administratively ``down`` by dynamics events.
+    administratively ``down`` by dynamics events.  Assigning any of the
+    three advances ``routing_epoch`` (the owning network's, set by
+    :meth:`repro.sim.network.Network.link`), so no transit memo
+    outlives the state it was derived from.
     """
 
     a: "Interface"
@@ -30,14 +38,30 @@ class Link:
     loss_rate: float = 0.0
     loss_seed: int = 0
     up: bool = True
-    _loss_rng: random.Random = field(init=False, repr=False, default=None)
+    routing_epoch: Optional["RoutingEpoch"] = field(
+        default=None, repr=False, compare=False)
+    _loss_rng: random.Random = field(repr=False, compare=False,
+                                     default=None)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must be in [0,1]: {self.loss_rate}")
-        if self.delay < 0:
-            raise ValueError(f"delay must be non-negative: {self.delay}")
-        self._loss_rng = random.Random(self.loss_seed)
+    def __init__(self, a: "Interface", b: "Interface", delay: float = 0.001,
+                 loss_rate: float = 0.0, loss_seed: int = 0, up: bool = True,
+                 routing_epoch: Optional["RoutingEpoch"] = None) -> None:
+        if not 0.0 <= loss_rate <= 1.0:
+            raise ValueError(f"loss_rate must be in [0,1]: {loss_rate}")
+        if delay < 0:
+            raise ValueError(f"delay must be non-negative: {delay}")
+        # Filled directly, not through __setattr__: a new link changes
+        # no state anyone has memoised yet, and topology set-up builds
+        # links by the hundred.
+        self.__dict__.update(
+            a=a, b=b, delay=delay, loss_rate=loss_rate, loss_seed=loss_seed,
+            up=up, routing_epoch=routing_epoch,
+            _loss_rng=random.Random(loss_seed))
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in _ROUTING_FIELDS and self.routing_epoch is not None:
+            self.routing_epoch.advance()
 
     def peer_of(self, interface: "Interface") -> "Interface":
         """The interface at the other end of the link."""

@@ -23,6 +23,7 @@ from repro.errors import TopologyError
 from repro.net.inet import IPv4Address
 from repro.net.packet import Packet
 from repro.sim.clock import SimClock
+from repro.sim.epoch import RoutingEpoch
 from repro.sim.link import Link
 from repro.sim.node import (
     Deliver,
@@ -108,6 +109,15 @@ class Network:
         # walk's publish path (walks are rebuilt per cohort batch, so
         # they cannot carry it themselves).
         self._obs_transit_acc = None
+        #: Forwarding-state change counter shared with this network's
+        #: routers and links (:mod:`repro.sim.epoch`).
+        self.routing_epoch = RoutingEpoch()
+        # The batched walker's transit memo (node -> {destination value:
+        # resolution or segment}), shared by every walk while the
+        # routing epoch it was built under holds; see transit_memo().
+        self._transit_memo: dict = {}
+        self._transit_epoch = -1
+        self._transit_shared = False
         # Asynchronous delivery buffer: (absolute arrival time, sequence
         # number, Delivery) heap fed by submit()/submit_cohort() and
         # drained by deliveries().  The sequence number keeps the pop
@@ -120,9 +130,14 @@ class Network:
     # ------------------------------------------------------------------
     def add_node(self, node: Node) -> Node:
         """Register a node (its interfaces may be added before or after)."""
+        from repro.sim.router import Router
+
         if node.name in self.nodes:
             raise TopologyError(f"duplicate node name: {node.name}")
         self.nodes[node.name] = node
+        if isinstance(node, Router):
+            node.routing_epoch = self.routing_epoch
+        self.routing_epoch.advance()
         for interface in node.interfaces:
             self.index_interface(interface)
         return node
@@ -140,7 +155,7 @@ class Network:
             if iface.link is not None:
                 raise TopologyError(f"{iface.label} is already linked")
         link = Link(a=a, b=b, delay=delay, loss_rate=loss_rate,
-                    loss_seed=loss_seed)
+                    loss_seed=loss_seed, routing_epoch=self.routing_epoch)
         a.link = link
         b.link = link
         self.links.append(link)
@@ -149,6 +164,11 @@ class Network:
         return link
 
     def index_interface(self, interface: Interface) -> None:
+        """Record that ``interface``'s node owns its address.
+
+        Advances the routing epoch: destination locality is part of
+        every transit memo.
+        """
         existing = self._address_index.get(interface.address)
         if existing is not None and existing is not interface.node:
             raise TopologyError(
@@ -156,6 +176,30 @@ class Network:
                 f"{existing.name} and {interface.node.name}"
             )
         self._address_index[interface.address] = interface.node
+        self.routing_epoch.advance()
+
+    def transit_memo(self) -> dict:
+        """The (node, destination) transit memo for the next batched walk.
+
+        One dict shared by every walk while :attr:`routing_epoch` is
+        unchanged (:mod:`repro.sim.epoch` lists what advances it), so
+        route resolutions and chain segments outlive the walk that
+        found them.  While any router carries timed overrides, lookups
+        depend on the clock as well, so each walk gets a fresh dict —
+        walk scope, during which the clock is frozen — exactly as
+        :meth:`repro.sim.router.Router.lookup_cached` bypasses its own
+        memo then.
+        """
+        current = self.routing_epoch.value
+        if current != self._transit_epoch:
+            from repro.sim.router import Router
+
+            self._transit_epoch = current
+            self._transit_memo = {}
+            self._transit_shared = not any(
+                isinstance(node, Router) and node.has_overrides
+                for node in self.nodes.values())
+        return self._transit_memo if self._transit_shared else {}
 
     def node_owning(self, address: IPv4Address) -> Optional[Node]:
         """The node owning ``address``, if any (one index probe)."""

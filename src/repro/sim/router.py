@@ -152,6 +152,10 @@ class Router(Node):
         self._rl_registry = None
         self._rl_acc: dict = {}
         self._rl_published: dict = {}
+        #: The :class:`repro.sim.epoch.RoutingEpoch` of the network this
+        #: router joined (set by :meth:`Network.add_node`); every table
+        #: or override change advances it.
+        self.routing_epoch = None
 
     def reset_counters(self) -> None:
         """Zero the LPM resolution counter (memos stay warm).
@@ -163,11 +167,26 @@ class Router(Node):
         self.lookup_count = 0
 
     def _invalidate_lookup_state(self) -> None:
-        """Drop every memo derived from the table / override set."""
+        """Drop every memo derived from the table / override set.
+
+        Also advances the routing epoch, which drops the network's
+        transit memo built on top of these lookups.
+        """
         self._lookup_cache.clear()
         self._fib_root = None
         self._aggregate.clear()
         self._aggregate_lengths.clear()
+        if self.routing_epoch is not None:
+            self.routing_epoch.advance()
+
+    @property
+    def has_overrides(self) -> bool:
+        """True while timed overrides are installed.
+
+        Lookups then depend on the clock, not only on table state, so
+        no memo may outlive the instant it was computed at.
+        """
+        return bool(self._overrides)
 
     # ------------------------------------------------------------------
     # table management

@@ -30,12 +30,22 @@ DEFAULT_TIMEOUT = 2.0
 
 @dataclass
 class ProbeResponse:
-    """A response that reached the measurement host."""
+    """A response that reached the measurement host.
+
+    ``raw`` is a read-only view of the packet's memoised wire form: a
+    response is serialized the first time someone reads its bytes, not
+    when it arrives, so the probe engines' hot path (which matches on
+    parsed fields) never pays for response checksums.
+    """
 
     packet: Packet
-    raw: bytes
     rtt: float
     received_at: float
+
+    @property
+    def raw(self) -> bytes:
+        """The response's wire bytes (serialized once, then memoised)."""
+        return self.packet.build()
 
 
 def require_vantage_point(network: Network, host: MeasurementHost) -> None:
@@ -103,11 +113,13 @@ class ProbeSocket:
             return None
         raw = first.packet.build()
         parsed = Packet.parse(raw, verify=False)
+        # The parsed packet adopts the bytes it came from as its wire
+        # memo, so ``raw`` stays exactly what arrived.
+        object.__setattr__(parsed, "_wire", raw)
         self.network.clock.advance(first.elapsed)
         self.responses_received += 1
         return ProbeResponse(
             packet=parsed,
-            raw=raw,
             rtt=first.elapsed,
             received_at=self.network.clock.now,
         )

@@ -40,6 +40,17 @@ def _ones_complement_sum(data: bytes) -> int:
     return total
 
 
+def _udp_checksum_with(partial: int, word: int) -> int:
+    """The checksum :meth:`UDPHeader.build` emits for a segment whose
+    words before the last sum to ``partial`` and whose last is ``word``.
+
+    The one's-complement sum is congruent to the plain sum modulo
+    0xFFFF; a residue of 0 is transmitted as 0xFFFF (RFC 768).
+    """
+    residue = (partial + word) % MAX_U16
+    return MAX_U16 - residue if residue else MAX_U16
+
+
 def craft_payload_for_checksum(
     target: int,
     src: IPv4Address,
@@ -54,6 +65,26 @@ def craft_payload_for_checksum(
     An odd-length base is padded with one zero octet first, so the
     adjustment word stays 16-bit aligned in the checksum.  Raises
     :class:`PayloadSearchError` for the unreachable target 0.
+    """
+    return craft_segment_for_checksum(target, src, dst, src_port,
+                                      dst_port, base_payload)[0]
+
+
+def craft_segment_for_checksum(
+    target: int,
+    src: IPv4Address,
+    dst: IPv4Address,
+    src_port: int,
+    dst_port: int,
+    base_payload: bytes = b"paris-trace!",
+) -> tuple[bytes, bytes]:
+    """Return ``(payload, segment)`` for a UDP checksum of ``target``.
+
+    ``payload`` is what :func:`craft_payload_for_checksum` returns;
+    ``segment`` is the UDP header plus payload the crafter built to
+    verify the checksum — exactly the octets
+    :meth:`repro.net.packet.Packet.transport_bytes` would produce, so a
+    probe can adopt it instead of serializing the segment again.
     """
     if not 0 <= target <= MAX_U16:
         raise PayloadSearchError(f"target checksum out of range: {target}")
@@ -71,25 +102,21 @@ def craft_payload_for_checksum(
     # We need  ~(partial ⊕ w) == target, i.e. partial ⊕ w == ~target.
     wanted_sum = (~target) & MAX_U16
     word = ones_complement_subtract(wanted_sum, partial)
+    if _udp_checksum_with(partial, word) != target:
+        # The only systematic miss: the sum landed on the 0/0xFFFF
+        # ambiguity of one's-complement arithmetic.  Nudge via the
+        # alternate representation.
+        word ^= MAX_U16
     payload = base_payload + struct.pack("!H", word)
     built = UDPHeader(src_port=src_port, dst_port=dst_port).build(
         payload, src, dst)
     achieved = struct.unpack("!H", built[6:8])[0]
-    if achieved != target:
-        # The only systematic miss: the sum landed on the 0/0xFFFF
-        # ambiguity of one's-complement arithmetic.  Nudge via the
-        # alternate representation.
-        alternate = word ^ MAX_U16
-        payload = base_payload + struct.pack("!H", alternate)
-        built = UDPHeader(src_port=src_port, dst_port=dst_port).build(
-            payload, src, dst)
-        achieved = struct.unpack("!H", built[6:8])[0]
-        if achieved != target:  # pragma: no cover - arithmetic guarantee
-            raise PayloadSearchError(
-                f"could not reach checksum 0x{target:04x} "
-                f"(got 0x{achieved:04x})"
-            )
-    return payload
+    if achieved != target:  # pragma: no cover - arithmetic guarantee
+        raise PayloadSearchError(
+            f"could not reach checksum 0x{target:04x} "
+            f"(got 0x{achieved:04x})"
+        )
+    return payload, built
 
 
 def ones_complement_subtract(a: int, b: int) -> int:

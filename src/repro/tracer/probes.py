@@ -37,7 +37,7 @@ from repro.net.tcp import TCPHeader
 from repro.net.udp import UDPHeader
 from repro.tracer import matching
 from repro.tracer.checksum_payload import (
-    craft_payload_for_checksum,
+    craft_segment_for_checksum,
     ones_complement_subtract,
 )
 
@@ -179,7 +179,7 @@ class ParisUdpBuilder(ProbeBuilder):
 
     def build(self, ttl: int) -> Packet:
         tag = self.next_tag
-        payload = craft_payload_for_checksum(
+        payload, segment = craft_segment_for_checksum(
             tag, self.source, self.destination,
             self.src_port, self.dst_port,
         )
@@ -188,6 +188,9 @@ class ParisUdpBuilder(ProbeBuilder):
             UDPHeader(src_port=self.src_port, dst_port=self.dst_port),
             payload=payload, ttl=ttl,
         )
+        # The crafter already built and verified the segment: adopt it
+        # as the transport memo instead of serializing it again.
+        object.__setattr__(probe, "_transport_wire", segment)
         self.next_tag = self.next_tag + 1 if self.next_tag < MAX_U16 else 1
         self.sent += 1
         return probe

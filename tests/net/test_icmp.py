@@ -135,6 +135,22 @@ class TestErrors:
                                quoted_payload=b"12345678").build()
         assert checksum(raw) == 0
 
+    @given(src=st.integers(0, 0xFFFFFFFF), dst=st.integers(0, 0xFFFFFFFF),
+           ttl=st.integers(0, 255), ident=st.integers(0, 0xFFFF),
+           total_length=st.integers(0, 0xFFFF), code=st.integers(0, 15),
+           payload=st.binary(max_size=12), unreachable=st.booleans())
+    def test_first_four_octets_match_serialization(
+            self, src, dst, ttl, ident, total_length, code, payload,
+            unreachable):
+        # The balancer-visible word is derived without building the
+        # quote; it must equal the serialized message's first word.
+        header = IPv4Header(src=IPv4Address(src), dst=IPv4Address(dst),
+                            protocol=int(IPProtocol.UDP), ttl=ttl,
+                            identification=ident, total_length=total_length)
+        cls = ICMPDestinationUnreachable if unreachable else ICMPTimeExceeded
+        msg = cls(quoted_header=header, quoted_payload=payload, code=code)
+        assert msg.first_four_octets() == msg.build()[:4]
+
 
 class TestParse:
     def test_truncated(self):
